@@ -9,8 +9,12 @@ entry without any explicit flush.
 The in-memory front is a bounded LRU (thread-safe; the HTTP server is a
 ``ThreadingHTTPServer``).  The optional disk backend writes one JSON file
 per key under ``disk_path``; on a memory miss the disk is consulted and a
-hit is promoted back into memory.  Payloads are deep-copied on both ``get``
-and ``put`` so callers can never mutate a cached value in place.
+hit is promoted back into memory.  The memory tier holds each payload as
+compact JSON text — several times smaller than the equivalent Python
+objects, and a ``json.loads`` per hit is cheaper than a deep copy — so
+callers get a fresh copy on every ``get`` and can never mutate a cached
+value in place.  Payloads are therefore JSON data (dicts, lists, strings,
+numbers, ``None``), which every result payload is.
 
 Caches can also be **cluster-shared**: given ``peers`` (base URLs of other
 ``repro serve`` nodes), a miss in both local tiers asks each peer's
@@ -42,7 +46,6 @@ on-disk entry whose key no current spec can reproduce under the running
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import threading
@@ -174,7 +177,7 @@ class ResultCache:
             )
         self._max_entries = int(max_entries)
         self._disk_path = disk_path
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
         self._since = time.time()
         self._hits = 0
@@ -240,7 +243,7 @@ class ResultCache:
                 return None
             self._hits += 1
             self._peer_hits += 1
-            self._store_in_memory(key, copy.deepcopy(payload))
+            self._store_in_memory(key, _pack(payload))
         _TIER_HITS["peer"].inc()
         _LOOKUP_SECONDS["peer"].observe(time.monotonic() - peer_start)
         # A peer hit also lands on the local disk tier, so it survives a
@@ -265,22 +268,22 @@ class ResultCache:
         counting a miss (the callers decide whether peers come next)."""
         start = time.monotonic()
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
+            packed = self._entries.get(key)
+            if packed is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                payload = copy.deepcopy(payload)
-        if payload is not None:
+        if packed is not None:
+            payload = json.loads(packed)
             _TIER_HITS["memory"].inc()
             _LOOKUP_SECONDS["memory"].observe(time.monotonic() - start)
             return True, payload
         payload = self._disk_get(key)
         if payload is not None:
+            packed = _pack(payload)
             with self._lock:
                 self._hits += 1
                 self._disk_hits += 1
-                self._store_in_memory(key, payload)
-                payload = copy.deepcopy(payload)
+                self._store_in_memory(key, packed)
             _TIER_HITS["disk"].inc()
             _LOOKUP_SECONDS["disk"].observe(time.monotonic() - start)
             return True, payload
@@ -288,10 +291,10 @@ class ResultCache:
 
     def put(self, key: str, payload: dict) -> None:
         """Store a payload under its content key (memory and disk)."""
-        payload = copy.deepcopy(payload)
+        packed = _pack(payload)
         with self._lock:
             self._stores += 1
-            self._store_in_memory(key, payload)
+            self._store_in_memory(key, packed)
         if self._disk_path is not None and self._disk_put(key, payload):
             with self._lock:
                 self._disk_stores += 1
@@ -347,16 +350,16 @@ class ResultCache:
             )
 
     # ------------------------------------------------------------------
-    def _store_in_memory(self, key: str, payload: dict) -> None:
+    def _store_in_memory(self, key: str, packed: str) -> None:
         # Caller holds the lock.
         if key in self._entries:
             self._entries.move_to_end(key)
-            self._entries[key] = payload
+            self._entries[key] = packed
             return
         while len(self._entries) >= self._max_entries:
             self._entries.popitem(last=False)
             self._evictions += 1
-        self._entries[key] = payload
+        self._entries[key] = packed
 
     def _disk_file(self, key: str) -> str:
         if not key or not set(key) <= _KEY_CHARS:
@@ -418,6 +421,16 @@ class ResultCache:
             except OSError:
                 pass
             return False
+
+
+def _pack(payload: dict) -> str:
+    """The memory tier's form of a payload: compact JSON text.
+
+    Key order is kept and floats round-trip exactly (``repr``), so
+    ``json.loads`` gives back a payload equal to the one stored.
+    Non-finite floats pass as ``Infinity``/``NaN``.
+    """
+    return json.dumps(payload, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ as little engine work as possible:
 2. **Cache** — each unique key is looked up in the
    :class:`~repro.service.cache.ResultCache` before any compute;
 3. **Shard + fan out** — the remaining unique specs are split into shards
-   and dispatched onto the same process-pool fan-out (with its serial
-   pickle-fallback) the parameter sweeps use, with each shard's payloads
-   stored into the cache — and journaled, when a journal is attached —
-   the moment the shard completes;
+   and dispatched onto one warm, process-wide local process pool (built
+   once, reused by every batch, with the serial fallback the parameter
+   sweeps use), with each shard's payloads stored into the cache — and
+   journaled, when a journal is attached — the moment the shard
+   completes;
 4. **Remote dispatch** — given a
    :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs),
    shards go onto one shared work queue and every executor *pulls* the
@@ -62,9 +63,11 @@ import threading
 import time
 import uuid
 import warnings
+import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_for_exits
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -78,7 +81,7 @@ from typing import (
     Union,
 )
 
-from ..analysis.sweep import make_row_pool, suggest_shard_size
+from ..analysis.sweep import _pool_context, suggest_shard_size
 from ..exceptions import InvalidProblemError
 from ..simulation.engine import DEFAULT_ENGINE
 from ..simulation.monte_carlo import SeedLike, spawn_seeds
@@ -570,6 +573,140 @@ class _ShardQueue:
         return items
 
 
+class _PoolFailed(Exception):
+    """The local process pool, not the work, failed a shard."""
+
+
+class _LocalPool:
+    """The one warm local process pool of this process.
+
+    Built lazily on first use with ``os.cpu_count()`` processes and the
+    start method :func:`repro.analysis.sweep._pool_context` picks at that
+    moment (forkserver once other threads are alive, as in ``repro
+    serve``), then reused by every batch of every scheduler in the process.
+    Building a pool costs about half a second; a served batch of small
+    specs costs a few milliseconds, so a pool per batch was almost all
+    overhead.  A pool per scheduler would bring that cost back wherever a
+    scheduler lives for one batch: :meth:`repro.experiment.Experiment.run`
+    without a scheduler, or servebench's traced split, where it measured
+    464 ms of executor overhead on a 21 ms sim-small batch (2 CPUs).
+    Hence one pool per process, shared.  A pool that lost a child (or
+    was retired after a failure) is replaced on the next :meth:`get`;
+    :meth:`close` stops the children and the next :meth:`get` builds a
+    fresh pool.
+
+    The pool lives only while a scheduler does: every
+    :class:`ScenarioScheduler` :meth:`attach`-es itself, and the pool is
+    closed once the last one is garbage-collected.  Idle children would
+    otherwise keep the multiprocessing forkserver and resource tracker
+    alive, so a process that has dropped its schedulers could not stop
+    those helpers.
+    """
+
+    def __init__(self) -> None:
+        # Re-entrant: a garbage collection inside get() can run a
+        # scheduler's finalizer (_detach) on the same thread.
+        self._lock = threading.RLock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._owners = 0
+
+    def attach(self, owner: object) -> None:
+        """Keep the pool available for as long as ``owner`` lives."""
+        with self._lock:
+            self._owners += 1
+        # Not at exit: concurrent.futures stops every pool then.
+        weakref.finalize(owner, self._detach).atexit = False
+
+    def _detach(self) -> None:
+        with self._lock:
+            self._owners -= 1
+            if self._owners:
+                return
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            _stop(executor, wait=True)
+
+    def get(self) -> Optional[ProcessPoolExecutor]:
+        """The live pool, built on demand; ``None`` when none can be built."""
+        with self._lock:
+            executor = self._executor
+            if executor is not None and _lost_a_child(executor):
+                _stop(executor, wait=False)
+                executor = self._executor = None
+            if executor is None:
+                try:
+                    executor = ProcessPoolExecutor(
+                        max_workers=os.cpu_count() or 1, mp_context=_pool_context()
+                    )
+                except OSError:
+                    return None
+                self._executor = executor
+            return executor
+
+    def retire(self, executor: ProcessPoolExecutor) -> None:
+        """Stop using ``executor`` after a failure; the next get() rebuilds.
+
+        No wait: futures other batches still hold on it resolve (or fail
+        as broken) on their own.
+        """
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        _stop(executor, wait=False)
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its processes to exit."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            _stop(executor, wait=True)
+
+
+def _processes(executor: ProcessPoolExecutor) -> list:
+    return list((getattr(executor, "_processes", None) or {}).values())
+
+
+def _lost_a_child(executor: ProcessPoolExecutor) -> bool:
+    """True when ``executor`` is broken, shut down or has a dead process.
+
+    The pool's manager thread notices a dead child only asynchronously;
+    checking the process sentinels (a zero-timeout poll, no reaping) lets
+    the next batch start on a fresh pool instead of failing over mid-run.
+    """
+    if getattr(executor, "_broken", False) or getattr(
+        executor, "_shutdown_thread", False
+    ):
+        return True
+    try:
+        sentinels = [process.sentinel for process in _processes(executor)]
+    except ValueError:  # a process object already closed
+        return True
+    return bool(sentinels) and bool(wait_for_exits(sentinels, timeout=0))
+
+
+def _stop(executor: ProcessPoolExecutor, wait: bool) -> None:
+    """Shut ``executor`` down; first terminate its children if one died.
+
+    An idle child waits for work holding the call queue's read lock.  If
+    that child is killed, its siblings block on the lock for good, and
+    when the shutdown wakes the pool's manager thread before it has seen
+    the death, the manager joins those siblings forever — and so does the
+    interpreter at exit.  Terminating them first makes every shutdown
+    finish.
+    """
+    if _lost_a_child(executor):
+        for process in _processes(executor):
+            try:
+                process.terminate()
+            except ValueError:  # already closed by the pool itself
+                pass
+    executor.shutdown(wait=wait)
+
+
+#: Shared by every :class:`ScenarioScheduler` in the process.
+_LOCAL_POOL = _LocalPool()
+
+
 class ScenarioScheduler:
     """Evaluate scenario specs through the cache, the pool and remote workers.
 
@@ -621,6 +758,7 @@ class ScenarioScheduler:
         self._jobs: "OrderedDict[str, BatchJob]" = OrderedDict()
         self._jobs_lock = threading.Lock()
         self._evicted_jobs = 0
+        _LOCAL_POOL.attach(self)
         # Instruments bound once: every registry access canonicalises the
         # label set under the registry lock (~1.5 us), and run_batch is
         # also the per-shard hot path of a remote worker serving
@@ -685,6 +823,15 @@ class ScenarioScheduler:
                 stacklevel=2,
             )
 
+    def close(self) -> None:
+        """Stop the warm local process pool and wait for its children.
+
+        The pool is process-wide (:class:`_LocalPool`), so this stops it
+        for every scheduler in the process; any later batch — on this
+        scheduler or another — builds a fresh one on demand.
+        """
+        _LOCAL_POOL.close()
+
     # ------------------------------------------------------------------
     def evaluate(self, spec: ScenarioSpec) -> Tuple[dict, bool]:
         """Evaluate one scenario; returns ``(payload, was_cached)``."""
@@ -709,10 +856,10 @@ class ScenarioScheduler:
     ) -> BatchResult:
         """Evaluate a heterogeneous scenario list with dedup + cache + shards.
 
-        ``max_workers`` is forwarded to the local process-pool fan-out
-        (``1`` forces serial evaluation).  ``shard_size`` is the number of
-        specs grouped into
-        one dispatch unit; ``None`` picks a size that gives every executor
+        ``max_workers`` caps the shards the local slot keeps in flight on
+        the warm process pool (``1`` forces serial evaluation).
+        ``shard_size`` is the number of specs grouped into one dispatch
+        unit; ``None`` picks a size that gives every executor
         a few shards.  ``workers`` selects remote executors for this batch
         (defaulting to the pool given at construction).  ``progress`` is
         called as ``progress(completed_unique, total_unique)`` while the
@@ -1027,7 +1174,7 @@ class ScenarioScheduler:
         dispatcher thread per live worker pulls the next index whenever its
         worker is free, and the calling thread pulls for the local process
         pool (submitting one shard per free process slot and refilling as
-        each completes — no round barrier, one pool per batch), so
+        each completes — no round barrier; see :meth:`_local_slot`), so
         placement follows each executor's actual throughput: a slow or
         loaded worker simply pulls less often (backpressure-aware), while
         results stay bit-identical because placement never changes what a
@@ -1182,109 +1329,9 @@ class ScenarioScheduler:
                     dispatching.add(id(worker))
                 spawn(worker)
 
-        local_slots = max(
-            1, max_workers if max_workers is not None else (os.cpu_count() or 1)
+        run_local = self._local_slot(
+            shards, queue, results, max_workers, record, batch_span, dispatch_start
         )
-        local_pool = make_row_pool(max_workers, len(shards))
-        # Holder rather than a bare nonlocal: once the pool breaks, every
-        # later run_local pass (the drain loop reuses it) must go serial
-        # instead of re-raising on the same broken pool.
-        local_state = {"pool": local_pool}
-
-        def run_serial(admit: bool) -> None:
-            while True:
-                if admit:
-                    maybe_admit()
-                index = queue.pop()
-                if index is None:
-                    return
-                shard_start = time.monotonic()
-                results[index] = execute_shard(shards[index])
-                self._note_shard(
-                    batch_span,
-                    index,
-                    len(shards[index]),
-                    "local-serial",
-                    shard_start,
-                    queue_wait=shard_start - dispatch_start,
-                )
-                record(index, results[index])
-
-        def run_local(admit: bool = True) -> None:
-            # The local slot keeps one shard in flight per free process
-            # slot, refilling as each completes, so it competes with the
-            # remote workers for queue items instead of owning a fixed
-            # share.
-            pool_now = local_state["pool"]
-            if pool_now is None:
-                run_serial(admit)
-                return
-            inflight: Dict["Future[list]", int] = {}
-            submitted_at: Dict["Future[list]", float] = {}
-            try:
-                while True:
-                    if admit:
-                        maybe_admit()
-                    while len(inflight) < local_slots:
-                        index = queue.pop()
-                        if index is None:
-                            break
-                        try:
-                            future = pool_now.submit(execute_shard, shards[index])
-                        except BaseException:
-                            # The popped index must never be lost: put it
-                            # back before the failure propagates to the
-                            # serial fallback below.
-                            queue.push_front(index)
-                            raise
-                        inflight[future] = index
-                        submitted_at[future] = time.monotonic()
-                    if not inflight:
-                        return
-                    finished, _pending = wait(inflight, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        # Read the result before dropping the future from
-                        # inflight: if it raises (broken pool), the
-                        # fallback below still knows about this index.
-                        results[inflight[future]] = future.result()
-                        index = inflight.pop(future)
-                        start = submitted_at.pop(future)
-                        self._note_shard(
-                            batch_span,
-                            index,
-                            len(shards[index]),
-                            "local-pool",
-                            start,
-                            queue_wait=start - dispatch_start,
-                        )
-                        record(index, results[index])
-            except (
-                pickle.PicklingError,
-                AttributeError,
-                TypeError,
-                BrokenProcessPool,
-                OSError,
-            ):
-                # Same degradation contract as map_rows: a broken pool
-                # falls back to serial, never surfaces as an
-                # infrastructure error.  Shards the pool may have dropped
-                # are recomputed (deterministic, so at worst repeated
-                # work), and the pool is retired for the rest of the
-                # batch.
-                local_state["pool"] = None
-                for index in inflight.values():
-                    shard_start = time.monotonic()
-                    results[index] = execute_shard(shards[index])
-                    self._note_shard(
-                        batch_span,
-                        index,
-                        len(shards[index]),
-                        "local-serial",
-                        shard_start,
-                        queue_wait=shard_start - dispatch_start,
-                    )
-                    record(index, results[index])
-                run_serial(admit)
 
         pool.attach_queue_probe(queue.depth)
         try:
@@ -1294,7 +1341,7 @@ class ScenarioScheduler:
                 spawn(worker)
             # The calling thread works the local slot while remote shards
             # are in flight.
-            run_local()
+            run_local(maybe_admit)
             while True:
                 for thread in threads:
                     thread.join()
@@ -1320,11 +1367,9 @@ class ScenarioScheduler:
                 queue.drain()
                 for index in reversed(missing):
                     queue.push_front(index)
-                run_local(admit=False)
+                run_local(None)
         finally:
             pool.detach_queue_probe(queue.depth)
-            if local_pool is not None:
-                local_pool.shutdown()
 
         return results, {  # type: ignore[return-value]
             "remote_specs": batch_counters["remote_specs"],
@@ -1340,100 +1385,134 @@ class ScenarioScheduler:
         record: Callable[[int, Sequence[dict]], None],
         batch_span=None,
     ) -> List[list]:
-        """Process-pool fan-out with a per-shard completion callback.
-
-        Same degradation contract as :func:`repro.analysis.sweep.map_rows`
-        (unpicklable work or a broken pool falls back to serial, never an
-        infrastructure error), but ``record(index, payloads)`` fires as
-        each shard completes rather than after the whole batch — that is
-        what lets the caller persist shard results incrementally, which a
-        crash-recoverable journal needs.
-        """
-        if not shards:
-            return []
+        """Run every shard on the local slot alone (no remote workers)."""
         results: List[Optional[list]] = [None] * len(shards)
-        queue = deque(range(len(shards)))
-        pool = make_row_pool(max_workers, len(shards))
-
-        def run_serial() -> None:
-            while queue:
-                index = queue.popleft()
-                shard_start = time.monotonic()
-                results[index] = execute_shard(shards[index])
-                self._note_shard(
-                    batch_span,
-                    index,
-                    len(shards[index]),
-                    "local-serial",
-                    shard_start,
-                )
-                record(index, results[index])
-
-        if pool is None:
-            run_serial()
-            return results  # type: ignore[return-value]
-        local_slots = max(
-            1, max_workers if max_workers is not None else (os.cpu_count() or 1)
+        run_local = self._local_slot(
+            shards,
+            _ShardQueue(range(len(shards))),
+            results,
+            max_workers,
+            record,
+            batch_span,
+            time.monotonic(),
         )
-        inflight: Dict["Future[list]", int] = {}
-        submitted_at: Dict["Future[list]", float] = {}
-        try:
+        run_local(None)
+        return results  # type: ignore[return-value]
+
+    def _local_slot(
+        self,
+        shards: List[tuple],
+        queue: _ShardQueue,
+        results: List[Optional[list]],
+        max_workers: Optional[int],
+        record: Callable[[int, Sequence[dict]], None],
+        batch_span,
+        dispatch_start: float,
+    ) -> Callable[[Optional[Callable[[], None]]], None]:
+        """The local executor of one batch: ``run(admit)`` drains ``queue``.
+
+        ``run`` keeps up to ``max_workers`` shards (default: the CPU count)
+        in flight on the process-wide warm pool (:data:`_LOCAL_POOL`),
+        refilling as each completes, so it competes with remote workers
+        for queue items instead of owning a fixed share.  One slot
+        (``max_workers=1``, or a single shard) is serial evaluation on the
+        calling thread, with no pool.  ``admit``, when given, runs before
+        every pull — the remote path's mid-batch worker rejoin.  Each
+        finished shard lands in ``results`` and fires ``record(index,
+        payloads)`` at once, which is what lets the caller persist shard
+        results incrementally, as a crash-recoverable journal needs.
+
+        A failure of the pool itself — a broken pool, a failed process
+        spawn, a pool shut down under the batch, a shard that does not
+        pickle — falls back to serial, never an infrastructure error: the
+        failed pool instance is retired (the next batch builds a fresh
+        one), and the rest of this batch, including later drain passes,
+        runs serially.  An exception raised by the work itself propagates
+        and leaves the pool in service.
+        """
+        slots = min(
+            len(shards),
+            max_workers if max_workers is not None else (os.cpu_count() or 1),
+        )
+        serial = slots <= 1
+
+        def finish(index: int, executor: str, start: float) -> None:
+            self._note_shard(
+                batch_span,
+                index,
+                len(shards[index]),
+                executor,
+                start,
+                queue_wait=start - dispatch_start,
+            )
+            record(index, results[index])
+
+        def run_serially(index: int) -> None:
+            start = time.monotonic()
+            results[index] = execute_shard(shards[index])
+            finish(index, "local-serial", start)
+
+        def run_serial(admit: Optional[Callable[[], None]]) -> None:
+            while True:
+                if admit is not None:
+                    admit()
+                index = queue.pop()
+                if index is None:
+                    return
+                run_serially(index)
+
+        def run(admit: Optional[Callable[[], None]]) -> None:
+            nonlocal serial
+            executor = None if serial else _LOCAL_POOL.get()
+            if executor is None:
+                run_serial(admit)
+                return
+            inflight: Dict["Future[list]", int] = {}
+            submitted_at: Dict["Future[list]", float] = {}
             try:
                 while True:
-                    while queue and len(inflight) < local_slots:
-                        index = queue.popleft()
+                    if admit is not None:
+                        admit()
+                    while len(inflight) < slots:
+                        index = queue.pop()
+                        if index is None:
+                            break
                         try:
-                            future = pool.submit(execute_shard, shards[index])
-                        except BaseException:
-                            # Keep the popped index for the serial fallback.
-                            queue.appendleft(index)
-                            raise
+                            future = executor.submit(execute_shard, shards[index])
+                        except (RuntimeError, OSError) as error:
+                            # A broken pool (BrokenProcessPool is a
+                            # RuntimeError), one shut down by close() or
+                            # another batch's retire, or a failed process
+                            # spawn.  The popped index must never be lost.
+                            queue.push_front(index)
+                            raise _PoolFailed from error
                         inflight[future] = index
                         submitted_at[future] = time.monotonic()
                     if not inflight:
-                        return results  # type: ignore[return-value]
+                        return
                     finished, _pending = wait(inflight, return_when=FIRST_COMPLETED)
                     for future in finished:
-                        # Read before popping: a raising result (broken
-                        # pool) must leave its index in inflight for the
-                        # fallback below.
-                        payloads = future.result()
+                        try:
+                            payloads = future.result()
+                        except (BrokenProcessPool, pickle.PicklingError) as error:
+                            # The pool lost a child, or a shard or its
+                            # payloads did not pickle.  Any other exception
+                            # was raised by the work and propagates.
+                            raise _PoolFailed from error
                         index = inflight.pop(future)
-                        start = submitted_at.pop(future)
                         results[index] = payloads
-                        self._note_shard(
-                            batch_span,
-                            index,
-                            len(shards[index]),
-                            "local-pool",
-                            start,
-                        )
-                        record(index, payloads)
-            except (
-                pickle.PicklingError,
-                AttributeError,
-                TypeError,
-                BrokenProcessPool,
-                OSError,
-            ):
-                # Shards the broken pool may have dropped are recomputed —
+                        finish(index, "local-pool", submitted_at.pop(future))
+            except _PoolFailed:
+                _LOCAL_POOL.retire(executor)
+                serial = True
+                # Shards the pool may have dropped are recomputed —
                 # deterministic specs make that at worst repeated work, and
                 # record() is idempotent (same key, same payload).
                 for index in inflight.values():
-                    shard_start = time.monotonic()
-                    results[index] = execute_shard(shards[index])
-                    self._note_shard(
-                        batch_span,
-                        index,
-                        len(shards[index]),
-                        "local-serial",
-                        shard_start,
-                    )
-                    record(index, results[index])
-                run_serial()
-                return results  # type: ignore[return-value]
-        finally:
-            pool.shutdown()
+                    run_serially(index)
+                run_serial(admit)
+
+        return run
 
     # ------------------------------------------------------------------
     def submit_batch(

@@ -596,6 +596,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 # error travels in-band as the terminal event.
                 emit(None, "done", {"state": "error", "error": str(error)})
             else:
+                # The last row is published before the batch thread marks
+                # the job finished: wait for the terminal state, so the
+                # event never reports "running".
+                job.wait()
                 emit(
                     None,
                     "done",
@@ -796,8 +800,11 @@ class ScenarioServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def server_close(self) -> None:
-        """Close the socket, stop the supervisor, checkpoint the journal."""
+        """Close the socket, stop the local pool and the supervisor,
+        checkpoint the journal."""
         super().server_close()
+        # A stopped server leaves no pool children behind.
+        self.scheduler.close()
         pool = getattr(self.scheduler, "worker_pool", None)
         if pool is not None:
             # close() also drops the pool's idle keep-alive connections,

@@ -66,6 +66,7 @@ class _FlakyHandler(WorkerDoubleHandler):
             alive = server.batches_served <= server.max_batches
         if not alive:
             self._reply(500, {"error": "worker crashed mid-batch"})
+            server.died.set()
             return
         length = int(self.headers.get("Content-Length") or 0)
         body = json.loads(self.rfile.read(length))
@@ -76,12 +77,15 @@ class _FlakyHandler(WorkerDoubleHandler):
 class FlakyWorkerServer(_WorkerDoubleServer):
     """A worker that passes the health handshake, serves ``max_batches``
     shard requests with *correct* results, then dies (HTTP 500) — the
-    deterministic stand-in for a node crashing mid-batch.
+    deterministic stand-in for a node crashing mid-batch.  ``died`` is
+    set once it has answered its first 500, so a test can hold other
+    executors until the crash has happened.
     """
 
     def __init__(self, max_batches: int):
         self.max_batches = max_batches
         self.batches_served = 0
+        self.died = threading.Event()
         super().__init__(_FlakyHandler)
 
 

@@ -23,6 +23,7 @@ import pytest
 from service_helpers import FlakyWorkerServer
 
 from repro.exceptions import InvalidProblemError
+from repro.service import scheduler as scheduler_module
 from repro.service.remote import RemoteWorkerPool
 from repro.service.scheduler import BatchJob, ScenarioScheduler
 from repro.service.server import _metric_path, create_server
@@ -109,7 +110,7 @@ class TestBatchJobIterRows:
 
 
 class TestStreamingThroughFailover:
-    def test_rows_keep_arriving_after_a_worker_dies(self):
+    def test_rows_keep_arriving_after_a_worker_dies(self, monkeypatch):
         # Worker double serves exactly one shard correctly, then 500s.
         # Its queued shards fail over to the local pool mid-stream; the
         # subscriber must still see every index exactly once, in order,
@@ -120,6 +121,16 @@ class TestStreamingThroughFailover:
         try:
             specs = _grid(60, offset=200.0)
             serial = ScenarioScheduler().run_batch(specs, max_workers=1)
+            # The local slot holds its first shard until the worker has
+            # died, so the crash lands mid-batch by construction rather
+            # than by winning a race against a fast local drain.
+            execute_shard = scheduler_module.execute_shard
+
+            def after_the_crash(shard):
+                assert flaky.died.wait(60)
+                return execute_shard(shard)
+
+            monkeypatch.setattr(scheduler_module, "execute_shard", after_the_crash)
             pool = RemoteWorkerPool([flaky.url])
             scheduler = ScenarioScheduler(workers=pool)
             job = scheduler.submit_job(specs, max_workers=1, shard_size=1)
@@ -158,10 +169,11 @@ def _get(url):
         return error.code, json.loads(error.read())
 
 
-def _submit(url, specs):
+def _submit(url, specs, **options):
+    body = dict(options, scenarios=[s.to_dict() for s in specs])
     request = urllib.request.Request(
         url + "/jobs",
-        data=json.dumps({"scenarios": [s.to_dict() for s in specs]}).encode(),
+        data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(request, timeout=60) as response:
@@ -202,10 +214,28 @@ def _read_frames(stream):
 
 class TestRowsEndpoint:
     def test_sse_stream_delivers_every_row_in_order_before_completion(
-        self, streaming_server
+        self, streaming_server, monkeypatch
     ):
+        # The last row is held back until the test has polled the job's
+        # state after the first row.  The first row can therefore reach
+        # the client at all only if it was published in an earlier call
+        # than the last one, i.e. while shards were still computing; and
+        # the job cannot finish before the poll, whatever its speed.  The
+        # job runs serially in 20 shards: those finish in index order, so
+        # holding the last one never holds back the first row (pool
+        # shards finish in any order, and the held call keeps the
+        # publication lock).
+        release = threading.Event()
+        publish_rows = BatchJob._publish_rows
+
+        def last_row_held(job, rows):
+            if any(index == 199 for index, _key, _payload in rows):
+                assert release.wait(60)
+            publish_rows(job, rows)
+
+        monkeypatch.setattr(BatchJob, "_publish_rows", last_row_held)
         specs = _grid(200)
-        job_id = _submit(streaming_server.url, specs)
+        job_id = _submit(streaming_server.url, specs, max_workers=1, shard_size=10)
         rows_url = f"{streaming_server.url}/jobs/{job_id}/rows"
         rows, state_after_first_row = [], None
         with urllib.request.urlopen(rows_url, timeout=120) as response:
@@ -220,6 +250,7 @@ class TestRowsEndpoint:
                         f"{streaming_server.url}/jobs/{job_id}"
                     )
                     state_after_first_row = poll["state"]
+                    release.set()
         # Every row exactly once, in index order, first row mid-run.
         assert [event_id for event_id, _data in rows] == list(range(200))
         assert [data["index"] for _id, data in rows] == list(range(200))
