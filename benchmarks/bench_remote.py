@@ -19,12 +19,12 @@ the acceptance grid.  Three measurements:
    on its old port, and the time for a 50 ms-interval
    :class:`~repro.service.remote.WorkerSupervisor` to re-probe it back to
    live is measured;
-5b. **Wire overhead** — 400 warm single-spec shards against one worker on
-   three transports (fresh-dial JSON, pooled JSON, pooled binary frames);
-   the per-shard dispatch overhead floor (round-trip minus the
-   worker-reported evaluation time) must stay ≤ 0.3 ms on the pooled wire
-   with > 90% connection reuse, and results must stay bit-identical on
-   all three;
+5b. **Transport overhead** — 400 warm single-spec shards against one
+   worker, dialing fresh per request vs over pooled keep-alive
+   connections (JSON, the one worker codec, either way); the per-shard
+   dispatch overhead floor (round-trip minus the worker-reported
+   evaluation time) must stay ≤ 0.3 ms on the pooled client with > 90%
+   connection reuse, and results must stay bit-identical on both;
 6. **Telemetry overhead** — recording-primitive calls are counted over a
    cold distributed batch and priced with tight loops; the op-accounted
    cost lands in ``telemetry_overhead_pct`` and must stay within the 5%
@@ -163,26 +163,26 @@ def test_perf_remote_dispatch(benchmark):
         revived.server_close()
         revived_thread.join(timeout=10)
 
-        # Wire + pooled connections: per-shard dispatch overhead.  400
+        # Pooled connections: per-shard dispatch overhead.  400
         # single-spec shards against one cache-warmed worker, so every
         # round-trip is transport plus a worker-side cache hit; the
         # worker's own ``repro_worker_batch_seconds`` time is subtracted
-        # out.  Three transports over the same worker: fresh-dial JSON
-        # (the pre-wire protocol), pooled JSON, pooled binary frames.
+        # out.  Two clients over the same worker: one dialing fresh per
+        # request, one reusing pooled keep-alive connections.
         # The floor (min over round-trips, timeit-style — load can only
         # ever add time) is the asserted number; the mean rides along in
         # extra_info for trend tracking.
-        wire_grid = [
+        transport_grid = [
             SimulateSpec(num_rays=m, num_robots=k, num_faulty=f, horizon=float(h))
             for m, k, f in TRIPLES
             for h in range(300, 500)
         ]
-        assert len(wire_grid) == 400
-        shard_dicts = [[spec.to_dict()] for spec in wire_grid]
-        warmup = RemoteWorker(urls[0], wire=False)
+        assert len(transport_grid) == 400
+        shard_dicts = [[spec.to_dict()] for spec in transport_grid]
+        warmup = RemoteWorker(urls[0])
         assert warmup.check_health()
         expected_results = warmup.evaluate_shard(
-            [spec.to_dict() for spec in wire_grid]
+            [spec.to_dict() for spec in transport_grid]
         )
         warmup.close()
         eval_hist = servers[0].worker_batch_seconds
@@ -198,8 +198,7 @@ def test_perf_remote_dispatch(benchmark):
             per_shard_eval = (
                 eval_hist.snapshot()["sum"] - eval_before
             ) / len(shard_dicts)
-            # Bit-identical on every transport, fresh or pooled, JSON or
-            # binary frames.
+            # Bit-identical on every transport, fresh or pooled.
             assert results == expected_results
             return {
                 "floor_ms": round((min(times) - per_shard_eval) * 1e3, 3),
@@ -208,20 +207,17 @@ def test_perf_remote_dispatch(benchmark):
                 ),
             }
 
-        fresh_dial = RemoteWorker(urls[0], wire=False, max_idle_connections=0)
-        json_pooled = RemoteWorker(urls[0], wire=False)
-        framed = RemoteWorker(urls[0])
+        fresh_dial = RemoteWorker(urls[0], max_idle_connections=0)
+        pooled = RemoteWorker(urls[0])
         fresh_overhead = _dispatch_400(fresh_dial)
-        json_overhead = _dispatch_400(json_pooled)
-        wire_overhead = _dispatch_400(framed)
-        conn_stats = framed.connection_stats()
-        assert framed.wire_enabled is True  # handshake negotiated frames
+        pooled_overhead = _dispatch_400(pooled)
+        conn_stats = pooled.connection_stats()
         assert conn_stats["reuse_fraction"] > 0.9  # pooling actually held
         assert conn_stats["redials"] == 0
         # The ROADMAP target: <= 0.3 ms of dispatch overhead per shard
         # with persistent connections (PERFORMANCE.md, "Wire protocol").
-        assert wire_overhead["floor_ms"] <= 0.3, wire_overhead
-        for shard_worker in (fresh_dial, json_pooled, framed):
+        assert pooled_overhead["floor_ms"] <= 0.3, pooled_overhead
+        for shard_worker in (fresh_dial, pooled):
             shard_worker.close()
 
         remote_shards = distributed.remote_evaluated // SHARD_SIZE
@@ -244,13 +240,11 @@ def test_perf_remote_dispatch(benchmark):
         benchmark.extra_info["supervisor_recovery_seconds"] = round(
             recovery_seconds, 4
         )
-        benchmark.extra_info["wire_shards"] = len(shard_dicts)
-        benchmark.extra_info["wire_overhead_ms_floor"] = wire_overhead["floor_ms"]
-        benchmark.extra_info["wire_overhead_ms_mean"] = wire_overhead["mean_ms"]
-        benchmark.extra_info["json_pooled_overhead_ms_floor"] = json_overhead[
+        benchmark.extra_info["transport_shards"] = len(shard_dicts)
+        benchmark.extra_info["json_pooled_overhead_ms_floor"] = pooled_overhead[
             "floor_ms"
         ]
-        benchmark.extra_info["json_pooled_overhead_ms_mean"] = json_overhead[
+        benchmark.extra_info["json_pooled_overhead_ms_mean"] = pooled_overhead[
             "mean_ms"
         ]
         benchmark.extra_info["json_fresh_overhead_ms_floor"] = fresh_overhead[
@@ -259,7 +253,9 @@ def test_perf_remote_dispatch(benchmark):
         benchmark.extra_info["json_fresh_overhead_ms_mean"] = fresh_overhead[
             "mean_ms"
         ]
-        benchmark.extra_info["wire_reuse_fraction"] = conn_stats["reuse_fraction"]
+        benchmark.extra_info["json_pooled_reuse_fraction"] = conn_stats[
+            "reuse_fraction"
+        ]
         print(
             f"\nremote dispatch @ {len(scenarios)} scenarios, shard {SHARD_SIZE}: "
             f"serial {serial_seconds * 1e3:.0f} ms, "
@@ -281,9 +277,7 @@ def test_perf_remote_dispatch(benchmark):
             f"(floor/mean): fresh-dial JSON "
             f"{fresh_overhead['floor_ms']:.2f}/{fresh_overhead['mean_ms']:.2f} ms, "
             f"pooled JSON "
-            f"{json_overhead['floor_ms']:.2f}/{json_overhead['mean_ms']:.2f} ms, "
-            f"pooled binary wire "
-            f"{wire_overhead['floor_ms']:.2f}/{wire_overhead['mean_ms']:.2f} ms "
+            f"{pooled_overhead['floor_ms']:.2f}/{pooled_overhead['mean_ms']:.2f} ms "
             f"(reuse {conn_stats['reuse_fraction']:.1%}, budget 0.3 ms floor)"
         )
 

@@ -8,10 +8,10 @@ Spins up, as subprocesses on ephemeral ports:
 
 Then
 
-1. checks the coordinator's ``GET /workers`` sees both workers live, that
-   every worker's ``GET /healthz`` advertises the binary wire and that
-   the coordinator negotiated it (shard traffic rides
-   ``application/x-repro-frame`` over pooled keep-alive connections);
+1. checks the coordinator's ``GET /workers`` sees both workers live and
+   that every worker's ``GET /healthz`` advertises the binary frame
+   format (shard traffic itself rides JSON over pooled keep-alive
+   connections — asserted after the first job);
 2. submits a deduplicated scenario grid (with the two golden scenarios
    inside) as an **async job** (``POST /jobs``) and polls
    ``GET /jobs/<id>`` — while the job runs, ``GET /healthz`` must keep
@@ -121,9 +121,8 @@ def main() -> int:
         assert "queue_depth" in workers and "active_batches" in workers, workers
         assert workers["supervisor"]["running"] is True, workers
 
-        # Wire handshake: every worker advertises the binary frame
-        # transport on /healthz (the pool negotiates per worker at its
-        # first health check — asserted after the first job below).
+        # Every worker advertises the binary frame format on /healthz,
+        # for clients that opt into frames.
         for worker_url in (url_a, url_b):
             advert = _request(worker_url, "/healthz").get("wire")
             assert advert and advert.get("version") == 1, advert
@@ -170,10 +169,9 @@ def main() -> int:
         again = _request(url_c, job_path)
         assert again["results"] == results, "spilled rehydration drifted"
 
-        # The surviving worker's shard traffic rode the negotiated binary
-        # wire over pooled connections.
+        # The surviving worker's shard traffic rode pooled keep-alive
+        # connections.
         alive_entry = _worker_stats(url_c, url_a)
-        assert alive_entry["connections"]["wire_enabled"] is True, alive_entry
         assert alive_entry["connections"]["reuses"] > 0, alive_entry
 
         print(

@@ -2,8 +2,7 @@
 
 The canonical project metadata lives in ``pyproject.toml``; this file exists
 so that the package can be installed in editable mode on machines without
-network access or the ``wheel`` package (legacy ``pip install -e .
---no-use-pep517 --no-build-isolation``).
+network access or the ``wheel`` package (``python setup.py develop``).
 """
 
 from setuptools import setup

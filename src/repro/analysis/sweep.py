@@ -38,7 +38,6 @@ __all__ = [
     "SweepRow",
     "StochasticSweepRow",
     "map_rows",
-    "make_row_pool",
     "suggest_shard_size",
     "sweep_optimal_strategies",
     "sweep_strategy_family",
@@ -230,27 +229,6 @@ def _pool_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return None
-
-
-def make_row_pool(
-    max_workers: Optional[int], num_tasks: int
-) -> Optional[ProcessPoolExecutor]:
-    """A process pool configured exactly like :func:`map_rows`' internal one.
-
-    For callers that dispatch many *small* work units over time (the
-    service's pull-based local slot) and would pay one pool spin-up per
-    :func:`map_rows` call otherwise.  Returns ``None`` when parallelism
-    would not pay (one worker, one task) or the pool cannot be built —
-    callers then run serially, matching :func:`map_rows`' degradation.
-    The caller owns the pool and must ``shutdown()`` it.
-    """
-    workers = _resolve_workers(max_workers, num_tasks)
-    if workers <= 1:
-        return None
-    try:
-        return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
-    except OSError:
-        return None
 
 
 def map_rows(

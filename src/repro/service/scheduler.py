@@ -9,18 +9,17 @@ as little engine work as possible:
    and are evaluated at most once;
 2. **Cache** — each unique key is looked up in the
    :class:`~repro.service.cache.ResultCache` before any compute;
-3. **Shard + fan out** — the remaining unique specs are split into shards
-   and dispatched onto one warm, process-wide local process pool (built
-   once, reused by every batch, with the serial fallback the parameter
-   sweeps use), with each shard's payloads stored into the cache — and
-   journaled, when a journal is attached — the moment the shard
-   completes;
-4. **Remote dispatch** — given a
-   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs),
-   shards go onto one shared work queue and every executor *pulls* the
-   next shard when it is free: one dispatcher thread per live remote
-   ``repro serve`` worker, plus the local process pool working the same
-   queue.  A slow or loaded worker therefore naturally takes fewer shards
+3. **Shard + pull dispatch** — the remaining unique specs are split into
+   shards on one shared work queue, and every executor *pulls* the next
+   shard when it is free: the local slot, working one warm, process-wide
+   local process pool (built once, reused by every batch, with a serial
+   fallback), plus one dispatcher thread per live remote ``repro serve``
+   worker when the batch has a
+   :class:`~repro.service.remote.RemoteWorkerPool` (or worker URLs).  A
+   batch without workers is the same loop with zero remote executors.
+   Each shard's payloads are stored into the cache — and journaled, when
+   a journal is attached — the moment the shard completes;
+4. **Failover** — a slow or loaded worker naturally takes fewer shards
    (backpressure-aware placement), a worker that dies mid-batch is marked
    dead while the shard it held goes back on the queue for another
    executor — the batch always completes — and a worker revived mid-batch
@@ -530,35 +529,29 @@ class _ShardQueue:
     dying worker held so the next puller takes it immediately, preserving
     approximate ordering.
 
-    Given a ``gauge`` (``repro_shard_queue_depth``), every mutation moves
-    it by the delta, so concurrent batches sharing one metrics registry
-    sum to the cluster-visible queue depth and an emptied batch nets to
-    zero.
+    Every mutation moves ``gauge`` (``repro_shard_queue_depth``) by the
+    delta, so concurrent batches sharing one metrics registry sum to the
+    cluster-visible queue depth and an emptied batch nets to zero.
     """
 
-    def __init__(
-        self,
-        indices: Iterable[int],
-        gauge: Optional[telemetry.Gauge] = None,
-    ) -> None:
+    def __init__(self, indices: Iterable[int], gauge: telemetry.Gauge) -> None:
         self._items = deque(indices)
         self._lock = threading.Lock()
         self._gauge = gauge
-        if gauge is not None and self._items:
+        if self._items:
             gauge.add(len(self._items))
 
     def pop(self) -> Optional[int]:
         with self._lock:
             item = self._items.popleft() if self._items else None
-        if item is not None and self._gauge is not None:
+        if item is not None:
             self._gauge.add(-1)
         return item
 
     def push_front(self, index: int) -> None:
         with self._lock:
             self._items.appendleft(index)
-        if self._gauge is not None:
-            self._gauge.add(1)
+        self._gauge.add(1)
 
     def depth(self) -> int:
         with self._lock:
@@ -568,7 +561,7 @@ class _ShardQueue:
         with self._lock:
             items = list(self._items)
             self._items.clear()
-        if items and self._gauge is not None:
+        if items:
             self._gauge.add(-len(items))
         return items
 
@@ -796,6 +789,11 @@ class ScenarioScheduler:
         )
         self._jobs_running = metrics.gauge(
             "repro_jobs_running", help="Background batch jobs currently executing."
+        )
+        self._queue_depth = metrics.gauge(
+            "repro_shard_queue_depth",
+            help="Shards waiting on the work queues of in-flight "
+            "batches (summed across concurrent batches).",
         )
 
     def _as_pool(self, workers: Optional[WorkersLike]) -> Optional[RemoteWorkerPool]:
@@ -1041,7 +1039,10 @@ class ScenarioScheduler:
                     progress(cache_hits, total_unique)
 
         pool = self.worker_pool if workers is None else self._as_pool(workers)
-        num_executors = 1 + (len(pool) if pool is not None else 0)
+        if pool is None:
+            # No workers: the same dispatch loop with zero remote executors.
+            pool = RemoteWorkerPool((), engine_version=self.engine_version)
+        num_executors = 1 + len(pool)
         with self.tracer.span("shard_build") if trace_phases else _NULL_SPAN as span:
             shards = _split_shards(
                 [spec for _key, spec in pending], shard_size, max_workers, num_executors
@@ -1071,20 +1072,9 @@ class ScenarioScheduler:
                 )
             note(len(shards[index]), list(zip(shard_keys[index], payloads)))
 
-        remote_evaluated = 0
-        failovers = 0
-        num_remote_workers = 0
-        if pool is not None and shards:
-            shard_payloads, dispatch = self._dispatch_remote(
-                shards, pool, max_workers, record, batch_span=batch_span
-            )
-            remote_evaluated = dispatch["remote_specs"]
-            failovers = dispatch["failovers"]
-            num_remote_workers = dispatch["num_workers"]
-        else:
-            shard_payloads = self._run_local_shards(
-                shards, max_workers, record, batch_span=batch_span
-            )
+        shard_payloads, dispatch = self._dispatch(
+            shards, pool, max_workers, record, batch_span=batch_span
+        )
         computed = [payload for shard in shard_payloads for payload in shard]
         for (key, _spec), payload in zip(pending, computed):
             payload_by_key[key] = payload
@@ -1096,9 +1086,9 @@ class ScenarioScheduler:
             cache_hits=cache_hits,
             evaluated=len(pending),
             num_shards=len(shards),
-            remote_evaluated=remote_evaluated,
-            failovers=failovers,
-            num_remote_workers=num_remote_workers,
+            remote_evaluated=dispatch["remote_specs"],
+            failovers=dispatch["failovers"],
+            num_remote_workers=dispatch["num_workers"],
         )
 
     # ------------------------------------------------------------------
@@ -1112,7 +1102,6 @@ class ScenarioScheduler:
         worker: Optional[str] = None,
         queue_wait: Optional[float] = None,
         serialize_seconds: Optional[float] = None,
-        wire: Optional[bool] = None,
     ) -> None:
         """Record one executed shard: a metric observation plus a trace span.
 
@@ -1124,15 +1113,7 @@ class ScenarioScheduler:
         healthy batch's shard-span count equals its shard count.
         """
         duration = time.monotonic() - start
-        shard_seconds = self._shard_seconds.get(executor)
-        if shard_seconds is None:  # pragma: no cover - defensive (new executor)
-            shard_seconds = self.metrics.histogram(
-                "repro_shard_seconds",
-                {"executor": executor},
-                help="Per-shard execution time as seen by the scheduler "
-                "(queue pop to payloads in hand), by executor.",
-            )
-        shard_seconds.observe(duration)
+        self._shard_seconds[executor].observe(duration)
         if batch_span is None or not batch_span.trace_id:
             return
         attrs: Dict[str, object] = {
@@ -1142,11 +1123,6 @@ class ScenarioScheduler:
         }
         if worker is not None:
             attrs["worker"] = worker
-        if wire is not None:
-            # Which transport carried this shard (binary frames vs JSON) —
-            # lets a trace read show at a glance whether the negotiated
-            # wire was actually in play for a slow dispatch.
-            attrs["wire"] = wire
         if queue_wait is not None:
             attrs["queue_wait_seconds"] = queue_wait
         if serialize_seconds is not None:
@@ -1160,7 +1136,7 @@ class ScenarioScheduler:
             attrs=attrs,
         )
 
-    def _dispatch_remote(
+    def _dispatch(
         self,
         shards: List[tuple],
         pool: RemoteWorkerPool,
@@ -1168,9 +1144,12 @@ class ScenarioScheduler:
         record: Callable[[int, Sequence[dict]], None],
         batch_span=None,
     ) -> Tuple[List[list], Dict[str, int]]:
-        """Pull-based dispatch over live remote workers plus the local pool.
+        """Pull-based dispatch over the local slot plus live remote workers.
 
-        All shard indices go onto one shared :class:`_ShardQueue`.  One
+        This is the one dispatch loop: a batch without workers runs it with
+        an empty ``pool``, i.e. zero remote executors, so the local slot
+        drains the whole queue.  All shard indices go onto one shared
+        :class:`_ShardQueue`.  One
         dispatcher thread per live worker pulls the next index whenever its
         worker is free, and the calling thread pulls for the local process
         pool (submitting one shard per free process slot and refilling as
@@ -1191,17 +1170,12 @@ class ScenarioScheduler:
         refresh — is admitted mid-batch: the local slot spawns it a fresh
         dispatcher thread while work remains on the queue.
         """
+        if not shards:  # fully cached: nothing to place, no health probes
+            return [], {"remote_specs": 0, "failovers": 0, "num_workers": 0}
         live = pool.refresh()
 
         dispatch_start = time.monotonic()
-        queue = _ShardQueue(
-            range(len(shards)),
-            gauge=self.metrics.gauge(
-                "repro_shard_queue_depth",
-                help="Shards waiting on the work queues of in-flight "
-                "batches (summed across concurrent batches).",
-            ),
-        )
+        queue = _ShardQueue(range(len(shards)), gauge=self._queue_depth)
         results: List[Optional[list]] = [None] * len(shards)
         batch_counters = {"remote_specs": 0, "failovers": 0}
         counters_lock = threading.Lock()
@@ -1295,7 +1269,6 @@ class ScenarioScheduler:
                         worker=worker.url,
                         queue_wait=queue_wait,
                         serialize_seconds=serialize_seconds,
-                        wire=bool(worker.wire_enabled),
                     )
                     record(shard_index, payloads)
             except BaseException as error:  # surfaced after the joins
@@ -1378,27 +1351,6 @@ class ScenarioScheduler:
         }
 
     # ------------------------------------------------------------------
-    def _run_local_shards(
-        self,
-        shards: List[tuple],
-        max_workers: Optional[int],
-        record: Callable[[int, Sequence[dict]], None],
-        batch_span=None,
-    ) -> List[list]:
-        """Run every shard on the local slot alone (no remote workers)."""
-        results: List[Optional[list]] = [None] * len(shards)
-        run_local = self._local_slot(
-            shards,
-            _ShardQueue(range(len(shards))),
-            results,
-            max_workers,
-            record,
-            batch_span,
-            time.monotonic(),
-        )
-        run_local(None)
-        return results  # type: ignore[return-value]
-
     def _local_slot(
         self,
         shards: List[tuple],
@@ -1417,7 +1369,7 @@ class ScenarioScheduler:
         for queue items instead of owning a fixed share.  One slot
         (``max_workers=1``, or a single shard) is serial evaluation on the
         calling thread, with no pool.  ``admit``, when given, runs before
-        every pull — the remote path's mid-batch worker rejoin.  Each
+        every pull — the dispatch loop's mid-batch worker rejoin.  Each
         finished shard lands in ``results`` and fires ``record(index,
         payloads)`` at once, which is what lets the caller persist shard
         results incrementally, as a crash-recoverable journal needs.

@@ -90,14 +90,14 @@ ids ``404``.  All responses are strict JSON (non-finite floats are encoded
 as the strings ``"inf"``/``"-inf"``/``"nan"``, exactly as the CLI
 ``--json`` flags emit them).
 
-Wire negotiation: a POST whose ``Content-Type`` is
+Binary frames: a POST whose ``Content-Type`` is
 ``application/x-repro-frame`` carries its body as a binary frame
 (:mod:`repro.service.wire`) and gets its response as one — the payload
-trees are identical to the JSON wire, floats travel as raw IEEE-754
+trees are identical to the JSON form, floats travel as raw IEEE-754
 doubles, results stay bit-identical.  Everything else stays JSON, so
-``curl`` and old workers keep working untouched; ``GET /healthz``
-advertises the supported wire version and clients downgrade silently on
-any mismatch.
+``curl`` keeps working untouched; ``GET /healthz`` advertises the
+supported frame version for clients that want it.  Coordinators speak
+JSON to their workers (see :mod:`repro.service.remote`).
 
 Keep-alive discipline (HTTP/1.1): error responses *drain* the unread
 request body first (bounded by ``MAX_BODY_BYTES``) so the next pipelined
@@ -424,9 +424,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "version": __version__,
                 "engine_version": scheduler.engine_version,
                 "kinds": list(spec_kinds()),
-                # The wire handshake: a pooled client moves POST traffic
-                # to binary frames only when this advert names exactly its
-                # own WIRE_VERSION; anyone else stays on JSON.
+                # Frame support for clients that opt into binary POST
+                # bodies and row streams.
                 "wire": {
                     "version": WIRE_VERSION,
                     "content_type": WIRE_CONTENT_TYPE,
@@ -827,7 +826,6 @@ def create_server(
     reprobe_interval: Optional[float] = None,
     worker_timeout: Optional[float] = None,
     worker_connect_timeout: Optional[float] = None,
-    worker_wire: bool = True,
     journal_path: Optional[str] = None,
     cache_peers: Optional[Sequence[str]] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -841,9 +839,7 @@ def create_server(
     supplied.  ``worker_timeout``/``worker_connect_timeout`` bound one
     shard's response read and the TCP dial separately (a hung worker costs
     the connect budget, not the full read budget, before failover).
-    ``worker_wire=False`` pins the pool's shard traffic to JSON even
-    against wire-capable workers (``repro serve --no-wire``); by default
-    the transport is negotiated per worker through the health handshake.
+    Shard traffic to workers is JSON over pooled keep-alive connections.
     ``reprobe_interval`` (> 0) starts a
     :class:`~repro.service.remote.WorkerSupervisor` that re-probes dead
     workers in the background with exponential backoff, so a long-running
@@ -869,7 +865,7 @@ def create_server(
     if scheduler is None:
         pool = None
         if workers:
-            pool_kwargs = {"wire": worker_wire}
+            pool_kwargs = {}
             if worker_timeout is not None:
                 pool_kwargs["timeout"] = worker_timeout
             if worker_connect_timeout is not None:

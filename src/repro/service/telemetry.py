@@ -28,11 +28,9 @@ pieces, composable but independently usable:
   process-wide registry/tracer every instrumented module (cache, remote,
   journal, execute) records into, so one ``repro serve`` process exposes
   everything it did at its own ``/metrics``.  The remote pool's transport
-  series live here too: ``repro_remote_connections_total`` (labels
+  series lives here too: ``repro_remote_connections_total`` (labels
   ``worker``/``event`` ∈ dial, reuse, redial — the keep-alive pool's hit
-  rate and stale-socket recoveries) and ``repro_remote_wire_bytes_total``
-  (labels ``worker``/``direction`` ∈ sent, received — binary-frame
-  payload bytes; JSON traffic is not counted).  The server adds
+  rate and stale-socket recoveries).  The server adds
   ``repro_http_errors_total`` (same templated path/method labels as
   ``repro_http_requests_total``) for unhandled handler exceptions turned
   into structured 500s.  The scheduler and server

@@ -16,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.service.execute import execute_shard
 from repro.service.spec import ENGINE_VERSION, spec_from_dict
 from repro.service.telemetry import MetricsRegistry
+from repro.service.wire import WIRE_CONTENT_TYPE, WIRE_VERSION
 
 
 class WorkerDoubleHandler(BaseHTTPRequestHandler):
@@ -202,3 +203,43 @@ class SlowWorkerServer(_WorkerDoubleServer):
         self.batches_served = 0
         self.metrics = MetricsRegistry()
         super().__init__(_SlowHandler)
+
+
+class _AdvertisingHandler(WorkerDoubleHandler):
+    def do_GET(self):
+        if self.path == "/healthz":
+            self._reply(
+                200,
+                {
+                    "status": "ok",
+                    "engine_version": ENGINE_VERSION,
+                    "kinds": [],
+                    "wire": {
+                        "version": WIRE_VERSION,
+                        "content_type": WIRE_CONTENT_TYPE,
+                    },
+                },
+            )
+        else:
+            super().do_GET()
+
+    def do_POST(self):
+        server: "AdvertisingWorkerServer" = self.server
+        with server._lock:
+            server.request_headers.append(dict(self.headers))
+        length = int(self.headers.get("Content-Length") or 0)
+        body = json.loads(self.rfile.read(length))
+        specs = [spec_from_dict(item) for item in body["scenarios"]]
+        self._reply(200, {"results": execute_shard(specs)})
+
+
+class AdvertisingWorkerServer(_WorkerDoubleServer):
+    """A *correct* JSON worker whose ``/healthz`` advertises the binary
+    frame format exactly as a real ``repro serve`` does, and which records
+    the headers of every ``POST`` in ``request_headers`` — so a test can
+    check which codec a client chose against a frame-capable worker.
+    """
+
+    def __init__(self):
+        self.request_headers = []
+        super().__init__(_AdvertisingHandler)

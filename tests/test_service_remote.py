@@ -18,6 +18,7 @@ import pytest
 from service_helpers import FlakyWorkerServer
 
 from repro.analysis.sweep import interesting_grid, sweep_random_faults
+from repro.service import scheduler as scheduler_module
 from repro.service.remote import RemoteWorker, RemoteWorkerError, RemoteWorkerPool
 from repro.service.scheduler import (
     ScenarioScheduler,
@@ -127,24 +128,41 @@ class TestMultiWorkerBitIdentity:
 
 
 class TestFailover:
-    def test_worker_dying_mid_batch_fails_over_bit_identically(self, workers):
+    def test_worker_dying_mid_batch_fails_over_bit_identically(
+        self, workers, monkeypatch
+    ):
         # Worker 1 is real; worker 2 passes the handshake, serves one shard
         # correctly, then crashes — the shard it holds goes back on the
         # work queue and the batch completes with identical payloads.  The
-        # queue is kept long (200 one-spec shards) so the crash lands
-        # deterministically mid-batch: the flaky worker's second pull
-        # happens milliseconds in, long before the other executors can
-        # drain the queue.
+        # local slot and the real worker both hold their first shard until
+        # the flaky worker has died, so only the flaky worker can pull
+        # first: the crash lands mid-batch by construction, not by winning
+        # a race against the other executors.
         flaky = FlakyWorkerServer(max_batches=1)
         flaky_thread = threading.Thread(target=flaky.serve_forever, daemon=True)
         flaky_thread.start()
+
+        class _AfterTheCrash(RemoteWorker):
+            def evaluate_shard(self, scenario_dicts):
+                assert flaky.died.wait(60)
+                return super().evaluate_shard(scenario_dicts)
+
         try:
             specs = [
                 SimulateSpec(num_rays=2, num_robots=1, horizon=10.0 + 0.5 * i)
                 for i in range(200)
             ]
             serial = ScenarioScheduler().run_batch(specs, max_workers=1)
-            pool = RemoteWorkerPool([workers[0].url, flaky.url])
+            execute_shard = scheduler_module.execute_shard
+
+            def local_after_the_crash(shard):
+                assert flaky.died.wait(60)
+                return execute_shard(shard)
+
+            monkeypatch.setattr(
+                scheduler_module, "execute_shard", local_after_the_crash
+            )
+            pool = RemoteWorkerPool([_AfterTheCrash(workers[0].url), flaky.url])
             scheduler = ScenarioScheduler(workers=pool)
             batch = scheduler.run_batch(specs, max_workers=1, shard_size=1)
             assert list(batch.results) == list(serial.results)  # bit-identical

@@ -5,10 +5,10 @@ Three layers:
 * the frame codec itself (:mod:`repro.service.wire`) — exact round-trips,
   float bit-identity, column packing, compression, every malformed-input
   error path;
-* negotiation — a wire-capable client against a real ``repro serve``
-  (frames both ways, results bit-identical to the JSON wire and to serial
-  evaluation, goldens included) and against a non-advertising worker
-  double (silently stays on JSON);
+* negotiation — a real ``repro serve`` advertises the frame format and
+  answers frames with frames, JSON with JSON; the coordinator's worker
+  client speaks JSON even to an advertising worker, and a pooled batch
+  stays bit-identical to serial evaluation, goldens included;
 * the HTTP/1.1 keep-alive bugfixes the persistent connections exposed —
   error responses drain the request body so the next pipelined request
   stays in sync, and unhandled handler exceptions produce a structured
@@ -25,7 +25,7 @@ import threading
 
 import pytest
 
-from service_helpers import DroppingWorkerServer
+from service_helpers import AdvertisingWorkerServer
 
 from repro.service import wire
 from repro.service.remote import RemoteWorker, RemoteWorkerPool
@@ -212,85 +212,64 @@ def worker_server():
 
 class TestNegotiation:
     def test_healthz_advertises_wire(self, worker_server):
-        worker = RemoteWorker(worker_server.url)
-        assert worker.check_health()
-        assert worker.wire_enabled is True
+        host, port = worker_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            connection.request("GET", "/healthz")
+            advert = json.loads(connection.getresponse().read())["wire"]
+        finally:
+            connection.close()
+        assert advert == {"version": WIRE_VERSION, "content_type": WIRE_CONTENT_TYPE}
 
-    def test_wire_false_client_stays_on_json(self, worker_server):
-        worker = RemoteWorker(worker_server.url, wire=False)
-        assert worker.check_health()
-        assert worker.wire_enabled is False
-        results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
-        assert results[0]["theoretical"] == 9.0
-
-    def test_non_advertising_worker_silently_stays_on_json(self):
-        # An old worker (no "wire" in /healthz) must keep working over
-        # JSON with no error and no frames.
-        double = DroppingWorkerServer()
+    def test_worker_client_speaks_json_to_an_advertising_worker(self):
+        # The advert is for clients that opt into frames; the coordinator's
+        # worker client always sends JSON, whatever the worker offers.
+        double = AdvertisingWorkerServer()
         thread = threading.Thread(target=double.serve_forever, daemon=True)
         thread.start()
         try:
             worker = RemoteWorker(double.url)
             assert worker.check_health()
-            assert worker.wire_enabled is False
             results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
             assert results[0]["theoretical"] == 9.0
-            assert worker._wire_bytes["sent"].value == 0
+            assert double.request_headers
+            for headers in double.request_headers:
+                assert headers["Content-Type"] == "application/json"
+                assert WIRE_CONTENT_TYPE not in headers.get("Accept", "")
         finally:
             double.shutdown()
             double.server_close()
             thread.join(timeout=10)
 
-    def test_wire_batch_bit_identical_to_json_and_serial(self, worker_server):
+    def test_pool_batch_bit_identical_to_serial(self, worker_server):
         scenarios = _grid()
         assert len(scenarios) >= 200
         serial = ScenarioScheduler().run_batch(scenarios, max_workers=1)
 
-        wire_pool = RemoteWorkerPool([worker_server.url])
-        wired = ScenarioScheduler(workers=wire_pool).run_batch(
+        pool = RemoteWorkerPool([worker_server.url])
+        pooled = ScenarioScheduler(workers=pool).run_batch(
             scenarios, max_workers=1, shard_size=8
         )
-        # Both pools share one worker URL and therefore one labelled
-        # wire-bytes counter in the global registry; snapshot it between
-        # the runs to show the JSON pool adds nothing.
-        wire_bytes_sent = wire_pool.workers[0]._wire_bytes["sent"].value
-        json_pool = RemoteWorkerPool([worker_server.url], wire=False)
-        jsoned = ScenarioScheduler(workers=json_pool).run_batch(
-            scenarios, max_workers=1, shard_size=8
-        )
-
-        assert wired.remote_evaluated > 0
-        assert list(wired.results) == list(serial.results)  # bit-identical
-        assert list(jsoned.results) == list(serial.results)
-
-        # The wire pool really did speak frames over pooled connections.
-        worker = wire_pool.workers[0]
-        assert worker.wire_enabled is True
-        assert worker._wire_bytes["sent"].value > 0
-        assert worker._wire_bytes["received"].value > 0
-        stats = worker.connection_stats()
-        assert stats["reuses"] > 0
-        # ... and the JSON pool did not.
-        json_worker = json_pool.workers[0]
-        assert json_worker.wire_enabled is False
-        assert json_worker._wire_bytes["sent"].value == wire_bytes_sent
+        assert pooled.remote_evaluated > 0
+        assert list(pooled.results) == list(serial.results)  # bit-identical
+        # Shards travelled over pooled keep-alive connections.
+        assert pool.workers[0].connection_stats()["reuses"] > 0
 
         # The goldens rode along: line ratio exactly 9, randomized 4.5911.
         golden = next(
             payload
-            for payload in wired.results
+            for payload in pooled.results
             if payload["kind"] == "simulate" and payload["spec"]["horizon"] == 200.0
         )
         assert golden["theoretical"] == 9.0
         randomized = next(
             payload
-            for payload in wired.results
+            for payload in pooled.results
             if payload["kind"] == "montecarlo_randomized"
         )
         assert randomized["closed_form"] == pytest.approx(4.5911, abs=5e-5)
 
-        wire_pool.close()
-        json_pool.close()
+        pool.close()
 
     def test_frame_request_gets_frame_response(self, worker_server):
         host, port = worker_server.server_address[:2]
