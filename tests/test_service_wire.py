@@ -7,8 +7,9 @@ Three layers:
   error path;
 * negotiation — a real ``repro serve`` advertises the frame format and
   answers frames with frames, JSON with JSON; the coordinator's worker
-  client speaks JSON even to an advertising worker, and a pooled batch
-  stays bit-identical to serial evaluation, goldens included;
+  client speaks JSON to advertising and non-advertising workers alike,
+  and a pooled batch stays bit-identical to serial evaluation, goldens
+  included;
 * the HTTP/1.1 keep-alive bugfixes the persistent connections exposed —
   error responses drain the request body so the next pipelined request
   stays in sync, and unhandled handler exceptions produce a structured
@@ -25,7 +26,7 @@ import threading
 
 import pytest
 
-from service_helpers import AdvertisingWorkerServer
+from service_helpers import AdvertisingWorkerServer, DroppingWorkerServer
 
 from repro.service import wire
 from repro.service.remote import RemoteWorker, RemoteWorkerPool
@@ -236,6 +237,23 @@ class TestNegotiation:
             for headers in double.request_headers:
                 assert headers["Content-Type"] == "application/json"
                 assert WIRE_CONTENT_TYPE not in headers.get("Accept", "")
+        finally:
+            double.shutdown()
+            double.server_close()
+            thread.join(timeout=10)
+
+    def test_non_advertising_worker_silently_stays_on_json(self):
+        # An old worker (no "wire" in /healthz) must keep working over
+        # JSON with no error; the double parses every body as JSON.
+        double = DroppingWorkerServer()
+        thread = threading.Thread(target=double.serve_forever, daemon=True)
+        thread.start()
+        try:
+            worker = RemoteWorker(double.url)
+            assert worker.check_health()
+            results = worker.evaluate_shard([GOLDEN_SIMULATE.to_dict()])
+            assert results[0]["theoretical"] == 9.0
+            assert double.batches_served == 1
         finally:
             double.shutdown()
             double.server_close()
