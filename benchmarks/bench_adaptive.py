@@ -67,7 +67,7 @@ def test_perf_adaptive_precision(benchmark):
             max_trials=2 * FIXED_TRIALS,
             chunk_trials=CHUNK_TRIALS,
         )
-        used = len(adaptive.trials)
+        used = adaptive.num_trials
         assert adaptive.converged is True, (
             f"({m},{k},{f}): adaptive never reached the fixed run's "
             f"SE {fixed.std_error:.4f} (+5%)"

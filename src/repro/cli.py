@@ -651,8 +651,9 @@ def _command_timeline(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     from .service.cache import ResultCache
-    from .service.server import create_server, run_server
+    from .service.server import cap_malloc_arenas, create_server, run_server
 
+    cap_malloc_arenas()
     cache = ResultCache(
         max_entries=args.cache_size,
         disk_path=args.cache_dir,

@@ -113,35 +113,75 @@ class RandomFaultTrial:
     ratio: float
 
 
-@dataclass
+@dataclass(eq=False)
 class FaultInjectionReport:
-    """Aggregate of a fault-injection campaign.
+    """Aggregate of a fault-injection campaign, held as trial columns.
 
-    ``adversarial_ratio`` is the worst-case ratio over the same targets with
-    the adversarial fault assignment, for comparison.  ``engine`` records
-    which evaluation path produced the detection times.
+    Trial ``i`` drew target ``targets[target_indices[i]]`` and the fault
+    set ``fault_matrix[i]`` (True where the robot is faulty), and was
+    detected at ``detection_times[i]``; ``ratios`` is derived from those
+    columns.  ``adversarial_ratio`` is the worst-case ratio over the same
+    targets with the adversarial fault assignment, for comparison.
+    ``engine`` records which evaluation path produced the detection times.
+    Every summary reads the arrays directly; per-trial
+    :class:`RandomFaultTrial` records are built only when :attr:`trials`
+    is read.
     """
 
-    trials: List[RandomFaultTrial]
+    targets: Tuple[RayPoint, ...]
+    target_indices: np.ndarray
+    fault_matrix: np.ndarray
+    detection_times: np.ndarray
     adversarial_ratio: float
     engine: str = DEFAULT_ENGINE
     #: ``None`` for a fixed-count campaign; for an adaptive campaign, True
     #: when the target standard error was reached before the trial budget.
     converged: Optional[bool] = None
 
+    def __post_init__(self) -> None:
+        distances = np.asarray([target.distance for target in self.targets], dtype=float)
+        self.ratios: np.ndarray = self.detection_times / distances[self.target_indices]
+
+    @property
+    def num_trials(self) -> int:
+        """Number of evaluated trials."""
+        return int(self.ratios.size)
+
+    @cached_property
+    def trials(self) -> List[RandomFaultTrial]:
+        """Per-trial records, built on first access from the columns."""
+        robots = np.arange(self.fault_matrix.shape[1])
+        return [
+            RandomFaultTrial(
+                target=self.targets[index],
+                faulty_robots=tuple(robots[faulty].tolist()),
+                detection_time=detection_time,
+                ratio=ratio,
+            )
+            for index, faulty, detection_time, ratio in zip(
+                self.target_indices.tolist(),
+                self.fault_matrix,
+                self.detection_times.tolist(),
+                self.ratios.tolist(),
+            )
+        ]
+
     @property
     def mean_ratio(self) -> float:
         """Average ratio over all trials (``inf`` if any trial never detects)."""
-        if not self.trials:
+        if not self.num_trials:
             return math.nan
-        return sum(trial.ratio for trial in self.trials) / len(self.trials)
+        # Python's built-in float sum (what the per-trial records were
+        # summed with), not numpy's pairwise one: the mean stays
+        # bit-identical.
+        return sum(self.ratios.tolist()) / self.num_trials
 
     @property
     def max_ratio(self) -> float:
         """Worst ratio observed across the random trials."""
-        if not self.trials:
+        if not self.num_trials:
             return math.nan
-        return max(trial.ratio for trial in self.trials)
+        return float(self.ratios.max())
 
     @property
     def slack(self) -> float:
@@ -152,10 +192,10 @@ class FaultInjectionReport:
     def statistics(self) -> TrialStatistics:
         """Rich trial statistics (mean, standard error, quantiles, batches).
 
-        Computed once and cached on the report — the trial list is treated
-        as immutable after construction.
+        Computed once and cached on the report — the trial columns are
+        treated as immutable after construction.
         """
-        return TrialStatistics.from_sample([trial.ratio for trial in self.trials])
+        return TrialStatistics.from_sample(self.ratios)
 
     @property
     def std_error(self) -> float:
@@ -163,7 +203,7 @@ class FaultInjectionReport:
         return self.statistics.std_error
 
     def to_dict(self) -> dict:
-        """Summary dict (trial statistics, not the raw trial list).
+        """Summary dict (trial statistics, not the raw trial columns).
 
         The stochastic columns mirror
         :class:`repro.analysis.sweep.StochasticSweepRow`, so a serialised
@@ -188,11 +228,11 @@ class FaultInjectionReport:
         """Empirical ``q``-quantile of the trial ratios (0 <= q <= 1)."""
         if not 0.0 <= q <= 1.0:
             raise InvalidProblemError(f"quantile must be in [0, 1], got {q}")
-        if not self.trials:
+        if not self.num_trials:
             return math.nan
-        ordered = sorted(trial.ratio for trial in self.trials)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        ordered = np.sort(self.ratios)
+        index = min(self.num_trials - 1, int(q * self.num_trials))
+        return float(ordered[index])
 
 
 def sample_spread_targets(
@@ -219,25 +259,6 @@ def sample_spread_targets(
             )
         )
     return targets
-
-
-def _trials_from_batch(
-    batch: FaultTrialBatch, detection_times: np.ndarray
-) -> List[RandomFaultTrial]:
-    """Materialise per-trial records from one evaluated batch."""
-    trials: List[RandomFaultTrial] = []
-    for trial in range(batch.num_trials):
-        target = batch.target(trial)
-        detection_time = float(detection_times[trial])
-        trials.append(
-            RandomFaultTrial(
-                target=target,
-                faulty_robots=batch.faulty_robots(trial),
-                detection_time=detection_time,
-                ratio=detection_time / target.distance,
-            )
-        )
-    return trials
 
 
 def simulate_random_faults(
@@ -306,9 +327,11 @@ def simulate_random_faults(
             crash_model=crash_model,
             horizon=horizon,
         )
-        detection_times = fault_detection_times(trajectories, batch, engine=engine)
         return FaultInjectionReport(
-            trials=_trials_from_batch(batch, detection_times),
+            targets=batch.targets,
+            target_indices=batch.target_indices,
+            fault_matrix=batch.fault_matrix,
+            detection_times=fault_detection_times(trajectories, batch, engine=engine),
             adversarial_ratio=adversarial_ratio,
             engine=engine,
         )
@@ -320,7 +343,7 @@ def simulate_random_faults(
     )
     chunk_seeds = iter_chunk_seeds(seed)
     distances = np.asarray([target.distance for target in targets], dtype=float)
-    trials: List[RandomFaultTrial] = []
+    chunks: List[Tuple[FaultTrialBatch, np.ndarray]] = []
     chunk_index = 0
     while True:
         size = estimator.next_chunk()
@@ -339,12 +362,15 @@ def simulate_random_faults(
         std_error = estimator.add_chunk(
             chunk_times / distances[chunk_batch.target_indices]
         )
-        trials.extend(_trials_from_batch(chunk_batch, chunk_times))
+        chunks.append((chunk_batch, chunk_times))
         if on_chunk is not None:
             on_chunk(chunk_index, size, estimator.trials_used, std_error)
         chunk_index += 1
     return FaultInjectionReport(
-        trials=trials,
+        targets=tuple(targets),
+        target_indices=np.concatenate([b.target_indices for b, _ in chunks]),
+        fault_matrix=np.concatenate([b.fault_matrix for b, _ in chunks]),
+        detection_times=np.concatenate([times for _, times in chunks]),
         adversarial_ratio=adversarial_ratio,
         engine=engine,
         converged=estimator.converged,

@@ -41,7 +41,7 @@ batch on a background thread and returns a :class:`BatchJob` handle with
 live partial-progress counts — the object the HTTP server exposes as
 ``POST /jobs`` + ``GET /jobs/<id>``.  A finished job **spills** its result
 payloads into the content-addressed cache and retains only the keys (plus
-the canonical spec dicts as a recompute fallback), so
+the canonical spec JSON texts as a recompute fallback), so
 :data:`MAX_RETAINED_JOBS` of large grids never pin full payload copies in
 coordinator memory; ``GET /jobs/<id>`` rehydrates bit-identically on
 demand.
@@ -56,6 +56,7 @@ are read back from the disk cache under their journaled keys).
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import threading
@@ -63,6 +64,7 @@ import time
 import uuid
 import warnings
 import weakref
+import zlib
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -238,10 +240,10 @@ class BatchJob:
     When constructed with a ``cache`` (the scheduler always passes its
     own), a finished job *spills*: payloads go into the content-addressed
     cache and the job retains only the ordered cache keys plus each unique
-    scenario's canonical spec dict.  :meth:`to_dict` and :meth:`result`
-    rehydrate from the cache on demand, recomputing any evicted entry from
-    its retained spec — bit-identical either way, since specs are
-    deterministic under their embedded seeds.  A job whose unique result
+    scenario's canonical spec JSON text (compressed).  :meth:`to_dict` and
+    :meth:`result` rehydrate from the cache on demand, recomputing any
+    evicted entry from its retained spec — bit-identical either way, since
+    specs are deterministic under their embedded seeds.  A job whose unique result
     count exceeds the cache's in-memory capacity (with no disk tier to
     fall back on) declines to spill and keeps its payloads: rehydrating it
     would recompute most of the grid on every poll.
@@ -269,7 +271,12 @@ class BatchJob:
         self._total: Optional[int] = None
         self._batch: Optional[BatchResult] = None
         self._result_keys: Optional[Tuple[str, ...]] = None
-        self._spec_by_key: Optional[Dict[str, dict]] = None
+        #: Spilled jobs only: the canonical spec JSON texts of the unique
+        #: keys in ``_result_keys`` order (see :func:`_pack_spec_texts`), to
+        #: recompute a payload evicted from the cache.  Assigned once when
+        #: the job finishes and never mutated after, so readers may use it
+        #: outside the lock.
+        self._spec_texts: Optional[bytes] = None
         self._error: Optional[str] = None
         self._done = threading.Event()
         # Row streaming: per-scenario cache keys (known at submit time)
@@ -309,14 +316,14 @@ class BatchJob:
     ) -> None:
         spill = self._spill and keys is not None and specs is not None
         result_keys: Optional[Tuple[str, ...]] = None
-        spec_by_key: Optional[Dict[str, dict]] = None
+        spec_texts: Optional[bytes] = None
         if spill:
             first_payload: Dict[str, dict] = {}
-            spec_by_key = {}
+            texts: List[str] = []
             for key, spec, payload in zip(keys, specs, batch.results):
                 if key not in first_payload:
                     first_payload[key] = payload
-                    spec_by_key[key] = spec.to_dict()
+                    texts.append(spec.canonical_json())
             # Spill only when the cache can actually retain the result
             # set: the in-memory LRU fits it, or a disk tier (which never
             # evicts) is configured.  Otherwise rehydration would recompute
@@ -327,7 +334,6 @@ class BatchJob:
                 and not self._cache.persistent
             ):
                 spill = False
-                spec_by_key = None
         if spill:
             # Make sure every payload is in the cache before dropping it
             # from the job (run_batch already stored computed entries; this
@@ -336,11 +342,14 @@ class BatchJob:
             for key, payload in first_payload.items():
                 self._cache.ensure(key, payload)
             result_keys = tuple(keys)
+            if result_keys == self._row_keys:
+                result_keys = self._row_keys
+            spec_texts = _pack_spec_texts(texts)
             batch = replace(batch, results=())
         with self._lock:
             self._batch = batch
             self._result_keys = result_keys
-            self._spec_by_key = spec_by_key
+            self._spec_texts = spec_texts
             self._completed = batch.num_unique
             self._total = batch.num_unique
             self._state = "done"
@@ -437,18 +446,23 @@ class BatchJob:
             batch = self._batch
             keys = self._row_keys if self._row_keys is not None else self._result_keys
             spilled = self._result_keys is not None
-            spec_by_key = dict(self._spec_by_key or {})
         if batch is None:
             raise InvalidProblemError(f"job {self.job_id} failed: {error}")
         key = keys[index] if keys is not None else ""
         if not spilled:
             return batch.results[index], key
-        assert self._cache is not None
+        return self._spilled_payload(key), key
+
+    def _spilled_payload(self, key: str) -> dict:
+        """A spilled job's payload for ``key``: cached, or recomputed and stored."""
+        assert self._cache is not None and self._spec_texts is not None
         payload = self._cache.get(key)
         if payload is None:
-            payload = execute_spec(spec_from_dict(spec_by_key[key]))
+            texts = zlib.decompress(self._spec_texts).decode("utf-8").split("\n")
+            text = dict(zip(dict.fromkeys(self._result_keys), texts))[key]
+            payload = execute_spec(spec_from_dict(json.loads(text)))
             self._cache.put(key, payload)
-        return payload, key
+        return payload
 
     def _rehydrated_results(self) -> List[dict]:
         """Rebuild the ordered results list from the cache.
@@ -460,18 +474,11 @@ class BatchJob:
         """
         with self._lock:
             keys = self._result_keys
-            cache = self._cache
-            spec_by_key = dict(self._spec_by_key or {})
-        assert keys is not None and cache is not None
+        assert keys is not None
         payload_by_key: Dict[str, dict] = {}
         for key in keys:
-            if key in payload_by_key:
-                continue
-            payload = cache.get(key)
-            if payload is None:
-                payload = execute_spec(spec_from_dict(spec_by_key[key]))
-                cache.put(key, payload)
-            payload_by_key[key] = payload
+            if key not in payload_by_key:
+                payload_by_key[key] = self._spilled_payload(key)
         return [payload_by_key[key] for key in keys]
 
     def result(self, timeout: Optional[float] = None) -> BatchResult:
@@ -1698,7 +1705,7 @@ class ScenarioScheduler:
         """A spilled ``done`` handle rebuilt from one journal record.
 
         Equivalent to the state :meth:`BatchJob._finish` leaves behind
-        after spilling: ordered keys plus one canonical spec dict per
+        after spilling: ordered keys plus one canonical spec JSON text per
         unique key, payloads fetched from the cache (or recomputed from
         the spec) on access.
         """
@@ -1709,9 +1716,12 @@ class ScenarioScheduler:
             spill_results=True,
             recovered=True,
         )
-        spec_by_key: Dict[str, dict] = {}
+        spec_by_key: Dict[str, str] = {}
         for key, spec_dict in zip(record.keys, record.spec_dicts):
-            spec_by_key.setdefault(key, spec_dict)
+            if key not in spec_by_key:
+                spec_by_key[key] = json.dumps(
+                    spec_dict, sort_keys=True, separators=(",", ":")
+                )
         batch = BatchResult.from_stats(
             record.stats,
             num_scenarios=record.num_scenarios,
@@ -1720,12 +1730,24 @@ class ScenarioScheduler:
         with job._lock:
             job._batch = batch
             job._result_keys = tuple(record.keys)
-            job._spec_by_key = spec_by_key
+            job._spec_texts = _pack_spec_texts(spec_by_key.values())
             job._completed = batch.num_unique
             job._total = batch.num_unique
             job._state = "done"
         job._done.set()
         return job
+
+
+def _pack_spec_texts(texts: Iterable[str]) -> bytes:
+    """A spilled job's recompute fallback: its unique specs' canonical JSON.
+
+    Newline-joined (compact JSON never contains a raw newline) and
+    zlib-compressed: the texts of one grid share most of their bytes, so
+    16 served specs keep ~0.3 KB instead of ~3.5 KB of strings for as long
+    as the job is retained.  Decompressed only to recompute a payload the
+    cache evicted.
+    """
+    return zlib.compress("\n".join(texts).encode("utf-8"))
 
 
 def _split_shards(

@@ -123,7 +123,9 @@ checkpoints the journal and stops the supervisor exactly like Ctrl-C.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import signal
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -142,7 +144,7 @@ from .spec import ENGINE_VERSION, spec_from_dict, spec_kinds
 from .telemetry import MetricsRegistry, Tracer
 from .wire import WIRE_CONTENT_TYPE, WIRE_VERSION, WireError, decode_frame, encode_frame
 
-__all__ = ["ScenarioServer", "create_server", "run_server"]
+__all__ = ["ScenarioServer", "cap_malloc_arenas", "create_server", "run_server"]
 
 #: Upper bound on accepted request bodies; far above any realistic batch,
 #: mostly a guard against unbounded reads on a public port.
@@ -889,6 +891,33 @@ def create_server(
     if pool is not None and reprobe_interval is not None and reprobe_interval > 0:
         pool.start_supervisor(reprobe_interval=reprobe_interval)
     return server
+
+
+#: glibc's ``mallopt`` parameter number for the malloc arena cap.
+_M_ARENA_MAX = -8
+
+
+def cap_malloc_arenas() -> bool:
+    """Cap this process at one glibc malloc arena; False if not applied.
+
+    glibc hands threads their own malloc arenas, up to eight per CPU, and
+    memory freed in one arena never serves another.  A serving process
+    starts handler, job and dispatcher threads on every request, so its
+    RSS ratchets up with the number of arenas those threads touched, not
+    with what it retains (after 200 served 16-spec ``/jobs`` requests on a
+    2-CPU Linux host: 50.8 MB RSS with default arenas, 48.0 MB with one).
+    CPython allocates under the GIL, so
+    the extra arenas buy it no allocation parallelism.  Call before the
+    server starts threads.  A no-op where ``mallopt`` is missing (non-glibc
+    platforms) and when ``MALLOC_ARENA_MAX`` is set, which then rules.
+    """
+    if "MALLOC_ARENA_MAX" in os.environ:
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_ARENA_MAX, 1))
 
 
 def run_server(server: ScenarioServer) -> None:

@@ -567,6 +567,19 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+#: Field order of the tuples :class:`Tracer` stores per span (``attrs``
+#: last) and the keys of the dicts :meth:`Tracer.get_trace` returns.
+_RECORD_FIELDS = (
+    "name",
+    "span_id",
+    "parent_id",
+    "start",
+    "duration_seconds",
+    "thread",
+    "attrs",
+)
+
+
 class Tracer:
     """Bounded ring buffer of per-trace span records.
 
@@ -687,15 +700,18 @@ class Tracer:
             stack.remove(span)
 
     def _record(self, span: Span) -> None:
-        record = {
-            "name": span.name,
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "start": span.start,
-            "duration_seconds": span.duration_seconds,
-            "thread": threading.current_thread().name,
-            "attrs": span.attrs,
-        }
+        # A tuple in _RECORD_FIELDS order: the ring holds up to
+        # max_traces * max_spans_per_trace of these, and a tuple is a
+        # fraction of a dict's size.  Readers build the dicts.
+        record = (
+            span.name,
+            span.span_id,
+            span.parent_id,
+            span.start,
+            span.duration_seconds,
+            threading.current_thread().name,
+            span.attrs,
+        )
         with self._lock:
             trace = self._traces.get(span.trace_id)
             if trace is None:
@@ -720,7 +736,10 @@ class Tracer:
             trace = self._traces.get(trace_id)
             if trace is None:
                 return None
-            return [dict(span, attrs=dict(span["attrs"])) for span in trace["spans"]]
+            return [
+                dict(zip(_RECORD_FIELDS, record), attrs=dict(record[-1]))
+                for record in trace["spans"]
+            ]
 
     def _dropped(self, trace_id: str) -> int:
         with self._lock:

@@ -345,6 +345,13 @@ class TestSchedulerRecovery:
         assert second.cache.stats().disk_hits == len(specs)
         second.journal.close()
 
+        # Without the disk tier every payload is recomputed from the specs
+        # the journal kept, bit-identically.
+        third = ScenarioScheduler(journal=JobJournal(journal_path))
+        assert third.recover_jobs()["rehydrated"] == 1
+        assert third.get_job(job.job_id).to_dict()["results"] == reference["results"]
+        third.journal.close()
+
     def test_interrupted_job_resumes_only_missing_shards(self, tmp_path):
         journal_path = str(tmp_path / "journal.sqlite")
         disk = str(tmp_path / "cache")

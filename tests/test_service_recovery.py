@@ -722,6 +722,26 @@ class TestJobResultSpill:
         assert job.to_dict()["results"] == list(serial.results)
         assert list(job.result().results) == list(serial.results)
 
+    def test_spilled_rows_with_duplicates_recompute_after_eviction(self):
+        specs = montecarlo_grid_specs(
+            [(2, 1, 0), (2, 3, 1), (3, 4, 1)], horizon=100.0, num_trials=32, seed=7
+        )
+        specs = specs + specs[::-1]  # every key twice, in both orders
+        serial = ScenarioScheduler().run_batch(specs, max_workers=1)
+        scheduler = ScenarioScheduler(cache=ResultCache(max_entries=8))
+        job = scheduler.submit_job(specs, max_workers=1)
+        assert job.wait(timeout=300)
+        assert job.spilled is True
+        # The spilled job keeps the submit-time key tuple and one
+        # compressed blob of spec texts, not a dict per key.
+        assert job._result_keys is job._row_keys
+        assert isinstance(job._spec_texts, bytes)
+        scheduler.cache.clear()
+        rows = list(job.iter_rows())
+        assert [index for index, _key, _payload in rows] == list(range(len(specs)))
+        assert [key for _index, key, _payload in rows] == list(job._row_keys)
+        assert [payload for _index, _key, payload in rows] == list(serial.results)
+
     def test_spill_declined_when_results_exceed_cache_capacity(self):
         # 4 unique results cannot live in a 2-slot memory-only cache:
         # spilling would force a near-full recompute on every poll, so the

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -242,3 +246,25 @@ class TestJobsEndpoint:
         status, body = _post(server_url + "/jobs", {"scenarios": []})
         assert status == 400
         assert "non-empty" in body["error"]
+
+
+def _cap_malloc_arenas_in_child(arena_max=None) -> str:
+    """What ``cap_malloc_arenas()`` returns in a fresh interpreter, so the
+    test process's allocator settings stay untouched."""
+    env = {k: v for k, v in os.environ.items() if k != "MALLOC_ARENA_MAX"}
+    if arena_max is not None:
+        env["MALLOC_ARENA_MAX"] = arena_max
+    code = "from repro.service.server import cap_malloc_arenas; print(cap_malloc_arenas())"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+class TestMallocArenaCap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
+    def test_applied_on_glibc(self):
+        assert _cap_malloc_arenas_in_child() == "True"
+
+    def test_explicit_environment_setting_rules(self):
+        assert _cap_malloc_arenas_in_child("4") == "False"

@@ -31,6 +31,7 @@ from repro.service.telemetry import (
     BUCKET_BOUNDS,
     Histogram,
     MetricsRegistry,
+    Span,
     Tracer,
     flag_stragglers,
     histogram_percentile,
@@ -309,6 +310,102 @@ class TestTracer:
             assert isinstance(event["tid"], int)
         assert meta and all(event["name"] == "thread_name" for event in meta)
         json.dumps(payload)  # must be JSON-serialisable as-is
+
+    def test_exporter_output_pinned(self):
+        # Four retroactive spans on two threads, starts out of order: the
+        # exact records, tree and Chrome events the readers build.
+        tracer = Tracer()
+        tracer.record_span("batch", "t", 10.0, 0.5, attrs={"num_scenarios": 2})
+        batch = Span(tracer, "batch", "t", "1", None, None)  # the span just recorded
+        tracer.record_span("shard", "t", 10.25, 0.125, parent=batch, attrs={"shard": 1})
+        tracer.record_span("shard", "t", 10.125, 0.0625, parent=batch, attrs={"shard": 0})
+        thread = threading.Thread(
+            target=tracer.record_span,
+            args=("remote", "t", 10.375, 0.125),
+            kwargs={"parent": batch},
+            name="repro-dispatch-0",
+        )
+        thread.start()
+        thread.join()
+
+        def record(name, span_id, parent_id, start, duration, thread, attrs):
+            return {
+                "name": name,
+                "span_id": span_id,
+                "parent_id": parent_id,
+                "start": start,
+                "duration_seconds": duration,
+                "thread": thread,
+                "attrs": attrs,
+            }
+
+        records = tracer.get_trace("t")
+        assert records == [
+            record("batch", "1", None, 10.0, 0.5, "MainThread", {"num_scenarios": 2}),
+            record("shard", "2", "1", 10.25, 0.125, "MainThread", {"shard": 1}),
+            record("shard", "3", "1", 10.125, 0.0625, "MainThread", {"shard": 0}),
+            record("remote", "4", "1", 10.375, 0.125, "repro-dispatch-0", {}),
+        ]
+        fields = ["name", "span_id", "parent_id", "start", "duration_seconds", "thread", "attrs"]
+        assert [list(span) for span in records] == [fields] * 4
+        # get_trace hands out copies: mutating one changes no later read.
+        records[0]["attrs"]["num_scenarios"] = 99
+        assert tracer.get_trace("t")[0]["attrs"] == {"num_scenarios": 2}
+
+        def node(span, start, children=()):
+            return {
+                "name": span["name"],
+                "span_id": span["span_id"],
+                "parent_id": span["parent_id"],
+                "start_seconds": start,
+                "duration_seconds": span["duration_seconds"],
+                "thread": span["thread"],
+                "attrs": span["attrs"],
+                "children": list(children),
+            }
+
+        batch_rec, shard1, shard0, remote = tracer.get_trace("t")
+        assert tracer.span_tree("t") == {
+            "trace_id": "t",
+            "num_spans": 4,
+            "dropped_spans": 0,
+            "roots": [
+                node(
+                    batch_rec,
+                    0.0,
+                    [node(shard0, 0.125), node(shard1, 0.25), node(remote, 0.375)],
+                )
+            ],
+        }
+
+        def event(span, ts, tid):
+            return {
+                "name": span["name"],
+                "cat": "repro",
+                "ph": "X",
+                "ts": ts,
+                "dur": span["duration_seconds"] * 1e6,
+                "pid": 1,
+                "tid": tid,
+                "args": dict(span["attrs"], span_id=span["span_id"]),
+            }
+
+        def lane(name, tid):
+            return {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
+                    "args": {"name": name}}
+
+        assert tracer.chrome_trace("t") == {
+            "traceEvents": [
+                lane("MainThread", 1),
+                event(batch_rec, 0.0, 1),
+                event(shard1, 250000.0, 1),
+                event(shard0, 125000.0, 1),
+                lane("repro-dispatch-0", 2),
+                event(remote, 375000.0, 2),
+            ],
+            "displayTimeUnit": "ms",
+            "otherData": {"trace_id": "t"},
+        }
 
     def test_render_span_tree_text(self):
         tracer = Tracer()
